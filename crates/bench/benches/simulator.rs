@@ -2,13 +2,14 @@
 //! measurement protocol.
 //!
 //! These benches size the cost of regenerating the paper's tables: one
-//! `simulate_block` call per (block, run), 30 runs per block, bootstrap
-//! on top.
+//! `simulate_block` call per (block, run), 30 runs per block (the
+//! `try_simulate_runs_stats` batch the evaluation runs on), bootstrap on
+//! top.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use bsched_cpusim::{simulate_block, simulate_runs, ProcessorModel};
+use bsched_cpusim::{simulate_block, simulate_runs, try_simulate_runs_stats, ProcessorModel};
 use bsched_memsim::{CacheModel, MemorySystem, NetworkModel};
 use bsched_pipeline::{evaluate, EvalConfig, Pipeline, SchedulerChoice};
 use bsched_stats::Pcg32;
@@ -57,6 +58,39 @@ fn bench_thirty_runs(c: &mut Criterion) {
             ))
         });
     });
+}
+
+/// The §4.3 simulation kernel on its own: one 30-run guarded batch over
+/// the largest block of the MDG stand-in, as `evaluate()` runs it per
+/// block.
+fn bench_stand_in_batch(c: &mut Criterion) {
+    let compiled = Pipeline::default()
+        .compile(perfect::mdg().function(), &SchedulerChoice::balanced())
+        .unwrap();
+    let block = compiled
+        .blocks
+        .iter()
+        .map(|cb| &cb.block)
+        .max_by_key(|b| b.len())
+        .expect("MDG has blocks");
+    let mem: MemorySystem = NetworkModel::new(2.0, 5.0).into();
+    let rng = Pcg32::seed_from_u64(3);
+    let mut group = c.benchmark_group("try-simulate-runs-stats-30");
+    group.throughput(Throughput::Elements(30 * block.len() as u64));
+    group.bench_with_input(BenchmarkId::new("mdg", block.len()), block, |b, block| {
+        b.iter(|| {
+            black_box(try_simulate_runs_stats(
+                black_box(block),
+                &mem,
+                ProcessorModel::Unlimited,
+                1,
+                30,
+                None,
+                &rng,
+            ))
+        });
+    });
+    group.finish();
 }
 
 fn bench_full_protocol(c: &mut Criterion) {
@@ -114,6 +148,7 @@ criterion_group!(
     benches,
     bench_single_run,
     bench_thirty_runs,
+    bench_stand_in_batch,
     bench_full_protocol,
     bench_register_allocation,
     bench_bootstrap

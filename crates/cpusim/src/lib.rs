@@ -40,6 +40,8 @@
 #![warn(missing_docs)]
 
 pub mod error;
+#[cfg(test)]
+mod oracle;
 pub mod processor;
 pub mod result;
 pub mod sim;

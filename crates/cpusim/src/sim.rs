@@ -1,4 +1,13 @@
 //! The cycle-level simulation loop.
+//!
+//! Every entry point decodes its block once into a `DecodedBlock` —
+//! the non-vnop instructions in order, their register operands
+//! renumbered densely into flat CSR arrays, and each instruction's load
+//! flag, address and fixed result latency — and then drives the single
+//! loop, `run_decoded`, once per run. The loop's register scoreboard
+//! is a `Vec<u64>` indexed by dense register number; it and the
+//! in-flight load list live in a `Scratch` reused across every run of
+//! a batch.
 
 use std::collections::HashMap;
 
@@ -63,7 +72,7 @@ pub fn simulate_block(
     model: ProcessorModel,
     rng: &mut Pcg32,
 ) -> SimResult {
-    simulate_inner(block, mem, model, 1, rng, None).0
+    simulate_once(block, mem, model, 1, OpLatencies::unit(), rng, None).0
 }
 
 /// Like [`simulate_block`], also returning the per-instruction trace.
@@ -75,7 +84,15 @@ pub fn simulate_block_traced(
     rng: &mut Pcg32,
 ) -> (SimResult, Vec<IssueEvent>) {
     let mut trace = Vec::with_capacity(block.len());
-    let (result, _) = simulate_inner(block, mem, model, 1, rng, Some(&mut trace));
+    let (result, _) = simulate_once(
+        block,
+        mem,
+        model,
+        1,
+        OpLatencies::unit(),
+        rng,
+        Some(&mut trace),
+    );
     (result, trace)
 }
 
@@ -121,7 +138,7 @@ pub fn simulate_block_custom(
     rng: &mut Pcg32,
 ) -> (SimResult, u64) {
     assert!(width >= 1, "issue width must be at least 1");
-    simulate_inner_custom(block, mem, model, width, op_latencies, rng, None)
+    simulate_once(block, mem, model, width, op_latencies, rng, None)
 }
 
 /// Runs `runs` independent simulations (fresh latency draws each run,
@@ -187,10 +204,11 @@ impl RunStats {
 /// Runs `runs` independent simulations and returns both the elapsed
 /// cycle count and the interlock count of every run.
 ///
-/// This is the single-pass batch entry point: callers that need runtimes
-/// *and* interlock accounting (the §4.3 protocol reports both) must not
-/// simulate twice — each `(block, run)` pair is simulated exactly once
-/// here.
+/// Callers that need runtimes *and* interlock accounting (the §4.3
+/// protocol reports both) must not simulate twice — each
+/// `(block, run)` pair is simulated exactly once here. This is the
+/// unguarded twin of [`try_simulate_runs_stats`]: the same batch loop
+/// with no cycle budget and no cancellation check.
 ///
 /// # Panics
 ///
@@ -205,24 +223,17 @@ pub fn simulate_runs_stats(
     rng: &Pcg32,
 ) -> RunStats {
     assert!(width >= 1, "issue width must be at least 1");
-    let mut elapsed = Vec::with_capacity(runs as usize);
-    let mut interlocks = Vec::with_capacity(runs as usize);
-    for r in 0..runs {
-        let mut run_rng = rng.split(u64::from(r));
-        let (result, cycles) = simulate_block_wide(block, mem, model, width, &mut run_rng);
-        elapsed.push(cycles as f64);
-        interlocks.push(result.interlocks as f64);
-    }
-    RunStats {
-        elapsed,
-        interlocks,
-    }
+    simulate_batch(block, mem, model, width, runs, u64::MAX, false, rng)
+        .expect("an unlimited, uncancellable batch cannot fail")
 }
 
 /// Watchdog-guarded [`simulate_runs_stats`]: identical samples on the
 /// happy path (bit for bit — same `rng.split` schedule), but each run is
 /// bounded by a per-run cycle `budget` and the batch checks the thread's
 /// cancellation token between runs.
+///
+/// This is the batch path the §4.3 protocol runs on: the block is
+/// decoded once and all `runs` runs share one scratch scoreboard.
 ///
 /// `budget: None` means unlimited. A run whose issue clock passes the
 /// budget fails the whole batch with [`SimError::BudgetExceeded`]; a
@@ -247,30 +258,7 @@ pub fn try_simulate_runs_stats(
 ) -> Result<RunStats, SimError> {
     assert!(width >= 1, "issue width must be at least 1");
     let budget = budget.unwrap_or(u64::MAX);
-    let mut elapsed = Vec::with_capacity(runs as usize);
-    let mut interlocks = Vec::with_capacity(runs as usize);
-    for r in 0..runs {
-        if bsched_faults::cancelled() {
-            return Err(SimError::Cancelled);
-        }
-        let mut run_rng = rng.split(u64::from(r));
-        let (result, cycles) = simulate_inner_guarded(
-            block,
-            mem,
-            model,
-            width,
-            OpLatencies::unit(),
-            &mut run_rng,
-            None,
-            budget,
-        )?;
-        elapsed.push(cycles as f64);
-        interlocks.push(result.interlocks as f64);
-    }
-    Ok(RunStats {
-        elapsed,
-        interlocks,
-    })
+    simulate_batch(block, mem, model, width, runs, budget, true, rng)
 }
 
 /// Maps a symbolic memory location to a flat simulated address: each
@@ -284,18 +272,97 @@ fn address_of(inst: &bsched_ir::Inst) -> Option<u64> {
     Some(base.wrapping_add_signed(offset))
 }
 
-fn simulate_inner(
-    block: &BasicBlock,
-    mem: &dyn LatencyModel,
-    model: ProcessorModel,
-    width: u32,
-    rng: &mut Pcg32,
-    trace: Option<&mut Vec<IssueEvent>>,
-) -> (SimResult, u64) {
-    simulate_inner_custom(block, mem, model, width, OpLatencies::unit(), rng, trace)
+/// One decoded instruction: everything the loop needs besides its
+/// register operands.
+#[derive(Debug, Clone, Copy)]
+struct DecodedInst {
+    id: InstId,
+    is_load: bool,
+    /// The load's flat address ([`address_of`]); `None` for non-loads.
+    address: Option<u64>,
+    /// Result latency of a non-load ([`OpLatencies::latency`]).
+    latency: u32,
 }
 
-fn simulate_inner_custom(
+/// A block decoded once per simulation call, so no run re-derives an
+/// opcode, an address or a hashed register lookup.
+///
+/// Virtual no-ops are dropped. Registers — virtual or physical — are
+/// renumbered `0..num_regs` in order of first appearance. Instruction
+/// `i` reads `regs[bounds[2i]..bounds[2i + 1]]` and writes
+/// `regs[bounds[2i + 1]..bounds[2i + 2]]`.
+#[derive(Debug)]
+struct DecodedBlock {
+    insts: Vec<DecodedInst>,
+    bounds: Vec<u32>,
+    regs: Vec<u32>,
+    num_regs: usize,
+}
+
+impl DecodedBlock {
+    fn new(block: &BasicBlock, op_latencies: OpLatencies) -> Self {
+        let mut dense: HashMap<Reg, u32> = HashMap::new();
+        let mut insts = Vec::with_capacity(block.len());
+        let mut bounds = Vec::with_capacity(2 * block.len() + 1);
+        let mut regs = Vec::new();
+        bounds.push(0);
+        for (id, inst) in block.iter_ids() {
+            if inst.opcode().is_vnop() {
+                continue;
+            }
+            for operands in [inst.uses(), inst.defs()] {
+                for &reg in operands {
+                    let next = u32::try_from(dense.len()).expect("fewer than 2^32 registers");
+                    regs.push(*dense.entry(reg).or_insert(next));
+                }
+                bounds.push(u32::try_from(regs.len()).expect("fewer than 2^32 operands"));
+            }
+            let is_load = inst.is_load();
+            insts.push(DecodedInst {
+                id,
+                is_load,
+                address: if is_load { address_of(inst) } else { None },
+                latency: op_latencies.latency(inst.opcode()),
+            });
+        }
+        DecodedBlock {
+            insts,
+            bounds,
+            regs,
+            num_regs: dense.len(),
+        }
+    }
+
+    fn uses(&self, i: usize) -> &[u32] {
+        &self.regs[self.bounds[2 * i] as usize..self.bounds[2 * i + 1] as usize]
+    }
+
+    fn defs(&self, i: usize) -> &[u32] {
+        &self.regs[self.bounds[2 * i + 1] as usize..self.bounds[2 * i + 2] as usize]
+    }
+}
+
+/// Per-batch working memory, reset at the start of every run.
+#[derive(Debug)]
+struct Scratch {
+    /// Cycle at which each dense register's value becomes available.
+    reg_ready: Vec<u64>,
+    /// In-flight loads (kept only by the processor models that limit
+    /// them).
+    outstanding: Vec<Outstanding>,
+}
+
+impl Scratch {
+    fn new(decoded: &DecodedBlock) -> Self {
+        Scratch {
+            reg_ready: vec![0; decoded.num_regs],
+            outstanding: Vec::new(),
+        }
+    }
+}
+
+/// One run of a freshly decoded block: the single-run entry points.
+fn simulate_once(
     block: &BasicBlock,
     mem: &dyn LatencyModel,
     model: ProcessorModel,
@@ -304,21 +371,76 @@ fn simulate_inner_custom(
     rng: &mut Pcg32,
     trace: Option<&mut Vec<IssueEvent>>,
 ) -> (SimResult, u64) {
-    simulate_inner_guarded(block, mem, model, width, op_latencies, rng, trace, u64::MAX)
-        .expect("an unlimited budget cannot be exceeded")
+    let decoded = DecodedBlock::new(block, op_latencies);
+    let mut scratch = Scratch::new(&decoded);
+    run_decoded(
+        &decoded,
+        &mut scratch,
+        mem,
+        model,
+        width,
+        rng,
+        trace,
+        u64::MAX,
+    )
+    .expect("an unlimited budget cannot be exceeded")
 }
 
-/// The single simulation loop. `budget` bounds one run's issue clock:
-/// the moment an instruction's issue cycle passes it the run aborts with
-/// [`SimError::BudgetExceeded`]. Every public infallible entry point
-/// calls this with `budget = u64::MAX`, which can never trip.
+/// The batch loop behind both `*_runs_stats` entry points: decode once,
+/// then run `r` draws its latencies from `rng.split(r)`. With
+/// `cancellable`, the thread's cancellation token is checked before
+/// every run.
 #[allow(clippy::too_many_arguments)]
-fn simulate_inner_guarded(
+fn simulate_batch(
     block: &BasicBlock,
     mem: &dyn LatencyModel,
     model: ProcessorModel,
     width: u32,
-    op_latencies: OpLatencies,
+    runs: u32,
+    budget: u64,
+    cancellable: bool,
+    rng: &Pcg32,
+) -> Result<RunStats, SimError> {
+    let decoded = DecodedBlock::new(block, OpLatencies::unit());
+    let mut scratch = Scratch::new(&decoded);
+    let mut elapsed = Vec::with_capacity(runs as usize);
+    let mut interlocks = Vec::with_capacity(runs as usize);
+    for r in 0..runs {
+        if cancellable && bsched_faults::cancelled() {
+            return Err(SimError::Cancelled);
+        }
+        let mut run_rng = rng.split(u64::from(r));
+        let (result, cycles) = run_decoded(
+            &decoded,
+            &mut scratch,
+            mem,
+            model,
+            width,
+            &mut run_rng,
+            None,
+            budget,
+        )?;
+        elapsed.push(cycles as f64);
+        interlocks.push(result.interlocks as f64);
+    }
+    Ok(RunStats {
+        elapsed,
+        interlocks,
+    })
+}
+
+/// The single simulation loop: one run over a decoded block. `budget`
+/// bounds the run's issue clock: the moment an instruction's issue
+/// cycle passes it the run aborts with [`SimError::BudgetExceeded`].
+/// Every public infallible entry point calls this with
+/// `budget = u64::MAX`, which can never trip.
+#[allow(clippy::too_many_arguments)]
+fn run_decoded(
+    decoded: &DecodedBlock,
+    scratch: &mut Scratch,
+    mem: &dyn LatencyModel,
+    model: ProcessorModel,
+    width: u32,
     rng: &mut Pcg32,
     mut trace: Option<&mut Vec<IssueEvent>>,
     budget: u64,
@@ -327,24 +449,26 @@ fn simulate_inner_guarded(
     // Hoisted so the fault hooks cost one relaxed load per run, not one
     // per instruction, when no plan is installed.
     let faults_on = bsched_faults::active();
-    let mut reg_ready: HashMap<Reg, u64> = HashMap::new();
-    let mut outstanding: Vec<Outstanding> = Vec::new();
+    let Scratch {
+        reg_ready,
+        outstanding,
+    } = scratch;
+    reg_ready.fill(0);
+    outstanding.clear();
+    // UNLIMITED never consults the in-flight list, so it keeps none.
+    let track_outstanding = model != ProcessorModel::Unlimited;
     let mut breakdown = InterlockBreakdown::default();
     let mut cycle: u64 = 0;
     let mut slots_used: u32 = 0;
-    let mut instructions: u64 = 0;
 
-    for (id, inst) in block.iter_ids() {
-        if inst.opcode().is_vnop() {
-            continue;
-        }
+    for (i, inst) in decoded.insts.iter().enumerate() {
         let earliest = cycle;
 
         // Operand readiness (register scoreboard).
-        let operand_ready = inst
-            .uses()
+        let operand_ready = decoded
+            .uses(i)
             .iter()
-            .map(|u| reg_ready.get(u).copied().unwrap_or(0))
+            .map(|&u| reg_ready[u as usize])
             .max()
             .unwrap_or(0);
         let mut issue = earliest.max(operand_ready);
@@ -365,14 +489,15 @@ fn simulate_inner_guarded(
         match model {
             ProcessorModel::Unlimited => {}
             ProcessorModel::MaxOutstanding(k) => {
-                if inst.is_load() {
+                if inst.is_load {
                     outstanding.retain(|o| o.completes > issue);
                     if outstanding.len() >= k as usize {
-                        // Block until enough outstanding loads complete.
-                        let mut completions: Vec<u64> =
-                            outstanding.iter().map(|o| o.completes).collect();
-                        completions.sort_unstable();
-                        let free_at = completions[outstanding.len() - k as usize];
+                        // Block until the earliest in-flight load
+                        // completes and frees a slot. Every load that
+                        // found the list full made room before it
+                        // joined, so the list never holds more than k.
+                        debug_assert_eq!(outstanding.len(), k as usize);
+                        let free_at = outstanding.iter().map(|o| o.completes).min().unwrap();
                         if free_at > issue {
                             breakdown.max_outstanding += free_at - issue;
                             issue = free_at;
@@ -411,8 +536,8 @@ fn simulate_inner_guarded(
         }
 
         // Issue.
-        let complete = if inst.is_load() {
-            let mut latency = mem.sample_at(address_of(inst), rng).max(1);
+        let complete = if inst.is_load {
+            let mut latency = mem.sample_at(inst.address, rng).max(1);
             // Adversarial jitter stays inside the model's declared
             // support, so the timeline validator's bounds still hold —
             // the *number* changes, never the invariant.
@@ -427,26 +552,27 @@ fn simulate_inner_guarded(
                 }
             }
             let complete = issue.saturating_add(latency);
-            outstanding.push(Outstanding {
-                issued: issue,
-                completes: complete,
-            });
+            if track_outstanding {
+                outstanding.push(Outstanding {
+                    issued: issue,
+                    completes: complete,
+                });
+            }
             complete
         } else {
-            issue + u64::from(op_latencies.latency(inst.opcode()))
+            issue + u64::from(inst.latency)
         };
-        for &d in inst.defs() {
-            reg_ready.insert(d, complete);
+        for &d in decoded.defs(i) {
+            reg_ready[d as usize] = complete;
         }
         if let Some(t) = trace.as_deref_mut() {
             t.push(IssueEvent {
-                id,
+                id: inst.id,
                 issue_cycle: issue,
                 complete_cycle: complete,
                 stall_cycles: issue - earliest,
             });
         }
-        instructions += 1;
         // Advance the issue clock: `width` slots per cycle.
         if issue > cycle {
             cycle = issue;
@@ -462,7 +588,7 @@ fn simulate_inner_guarded(
     let elapsed = cycle + u64::from(slots_used > 0);
     Ok((
         SimResult {
-            instructions,
+            instructions: decoded.insts.len() as u64,
             interlocks: breakdown.total(),
             breakdown,
         },
@@ -471,7 +597,7 @@ fn simulate_inner_guarded(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bsched_ir::BlockBuilder;
     use bsched_memsim::{FixedLatency, MemorySystem, NetworkModel};
@@ -831,11 +957,12 @@ mod tests {
         );
     }
 
-    /// Fault-plan tests share the process-global plan registry; keep
-    /// them serialized and keyed to a context no other test uses.
+    /// Fault-plan tests (here and in the oracle's differential suite)
+    /// share the process-global plan registry; keep them serialized and
+    /// keyed to a context no other test uses.
     static FAULT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
+    pub(crate) fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
         FAULT_LOCK
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)

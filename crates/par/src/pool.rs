@@ -283,12 +283,20 @@ impl WorkerPool {
     /// Stops accepting work, lets queued jobs finish, and joins every
     /// worker. Idempotent; [`spawn`](WorkerPool::spawn) after shutdown
     /// runs the job inline on the caller.
+    ///
+    /// Called from one of the pool's own jobs (the last reference to the
+    /// pool dropped there), it joins every *other* worker and detaches
+    /// the calling one, which cannot join itself; that thread exits on
+    /// its own once the job returns and the pool is dry.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.notify_all();
         let handles = std::mem::take(&mut *self.handles.lock().unwrap());
-        for h in handles {
-            let _ = h.join();
+        let own = self.current_worker_index();
+        for (index, h) in handles.into_iter().enumerate() {
+            if Some(index) != own {
+                let _ = h.join();
+            }
         }
         // A submit racing this shutdown can read `shutdown == false`,
         // get preempted, and enqueue after the workers drained and
@@ -629,6 +637,29 @@ mod tests {
             r.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(ran.load(Ordering::SeqCst), 1);
+    }
+
+    /// Regression: when the last reference to a pool dropped inside one
+    /// of its own jobs, `shutdown` joined that worker's own thread and
+    /// panicked with "Resource deadlock avoided" — the job died before
+    /// finishing and the other workers were never joined.
+    #[test]
+    fn dropping_the_last_reference_inside_a_job_does_not_self_join() {
+        let pool = Arc::new(WorkerPool::new(2));
+        let job_ref = Arc::clone(&pool);
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let (tx, rx) = mpsc::channel();
+        pool.spawn(move || {
+            go_rx.recv().unwrap();
+            let on_worker = job_ref.current_worker_index().is_some();
+            // The test has dropped its reference: this is the last one,
+            // so the pool shuts down here, on its own worker.
+            drop(job_ref);
+            tx.send(on_worker).unwrap();
+        });
+        drop(pool);
+        go_tx.send(()).unwrap();
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(true));
     }
 
     /// Regression: a spawn racing `shutdown()` could read

@@ -4,19 +4,29 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use bsched_analyze::json::{self, Json};
 use bsched_serve::{Server, ServerConfig};
 
-/// Fault plans are process-global; tests that install one serialize.
-fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    match LOCK.get_or_init(|| Mutex::new(())).lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+/// Fault plans are process-global, and the server's `serve-reject` site
+/// runs outside any cell context, so no plan can be keyed to one test.
+/// Tests that install a plan hold this lock exclusively ([`fault_lock`]);
+/// every other test holds it shared ([`no_fault_plan`]), so none of them
+/// can see another test's plan.
+static PLAN_LOCK: RwLock<()> = RwLock::new(());
+
+fn fault_lock() -> RwLockWriteGuard<'static, ()> {
+    PLAN_LOCK
+        .write()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+fn no_fault_plan() -> RwLockReadGuard<'static, ()> {
+    PLAN_LOCK
+        .read()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 struct Client {
@@ -70,6 +80,7 @@ const DAXPY: &str = r#"{"op":"schedule","id":"rt1","kernel":"kernel daxpy { arra
 
 #[test]
 fn schedule_round_trip_carries_schedule_eval_and_diagnostics() {
+    let _plan = no_fault_plan();
     let server = small_server();
     let mut client = Client::connect(&server);
     let v = client.round_trip(DAXPY);
@@ -96,6 +107,7 @@ fn schedule_round_trip_carries_schedule_eval_and_diagnostics() {
 
 #[test]
 fn identical_request_is_served_from_cache() {
+    let _plan = no_fault_plan();
     let server = small_server();
     let mut client = Client::connect(&server);
     let first = client.round_trip(DAXPY);
@@ -122,6 +134,7 @@ fn identical_request_is_served_from_cache() {
 
 #[test]
 fn tune_flag_installs_a_background_tuned_schedule() {
+    let _plan = no_fault_plan();
     let server = small_server();
     let mut client = Client::connect(&server);
     // High-variance system on a small kernel: the policy search is fast
@@ -255,6 +268,7 @@ fn injected_serve_reject_sheds_load_without_a_full_queue() {
 
 #[test]
 fn expired_deadline_yields_a_typed_timeout() {
+    let _plan = no_fault_plan();
     let server = Server::start(ServerConfig {
         workers: 1,
         default_deadline_ms: Some(1),
@@ -282,6 +296,7 @@ fn expired_deadline_yields_a_typed_timeout() {
 
 #[test]
 fn malformed_and_failing_requests_get_typed_errors() {
+    let _plan = no_fault_plan();
     let server = small_server();
     let mut client = Client::connect(&server);
     let v = client.round_trip("this is not json");
@@ -300,6 +315,7 @@ fn malformed_and_failing_requests_get_typed_errors() {
 
 #[test]
 fn stats_and_ping_answer_inline() {
+    let _plan = no_fault_plan();
     let server = small_server();
     let mut client = Client::connect(&server);
     let pong = client.round_trip(r#"{"op":"ping","id":"p"}"#);
@@ -382,6 +398,7 @@ fn shutdown_op_drains_in_flight_work_before_join_returns() {
 #[cfg(target_os = "linux")]
 #[test]
 fn connection_caught_mid_line_at_drain_gets_a_typed_overloaded() {
+    let _plan = no_fault_plan();
     let server = small_server();
     let mut client = Client::connect(&server);
     // Half a schedule request: bytes on the wire, no terminating newline.
